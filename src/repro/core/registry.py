@@ -38,6 +38,11 @@ from repro.util.rng import RNGLike
 
 QueryLike = Union[ConjunctiveQuery, PreparedQuery]
 
+#: Registered schemes whose estimates are error-free integers: the only ones a
+#: live count can delta-patch, and whose per-shard products are bit-identical
+#: to the unsharded count.
+EXACT_SCHEMES = frozenset({"exact", "oracle_exact"})
+
 
 @dataclass(frozen=True)
 class CountResult:

@@ -200,10 +200,13 @@ def run_chaos_shard(
 def run_chaos_stream(seed: int, rate: float, num_events: int = 30) -> ChaosCase:
     """Twin services replay one mutation schedule; the chaos twin's
     refreshes are faulted at ``stream.refresh`` and every read must agree
-    with the fault-free twin's."""
+    with the fault-free twin's.  The schedule runs twice: on monolithic
+    twins and on sharded twins (one relation per shard), so both recount
+    steps go through the shared retry path."""
     from repro.queries import parse_query
     from repro.relational.structure import Database
     from repro.service import CountingService, ServiceConfig
+    from repro.shard import ByRelationPartitioner, ShardedStructure
     from repro.stream.workload import stream_schedule
     from repro.util.rng import as_generator
 
@@ -219,6 +222,11 @@ def run_chaos_stream(seed: int, rate: float, num_events: int = 30) -> ChaosCase:
                 facts.add(pair)
         return Database.from_relations({"E": sorted(facts)})
 
+    def build_sharded() -> ShardedStructure:
+        return ShardedStructure.from_structure(
+            build_database(), ByRelationPartitioner(2, assignment={"E": 1})
+        )
+
     schedule_db = build_database()
     schedule = stream_schedule(num_events, schedule_db, num_queries=1, rng=seed + 4)
     queries = [
@@ -227,36 +235,37 @@ def run_chaos_stream(seed: int, rate: float, num_events: int = 30) -> ChaosCase:
     ]
     plan = uniform_plan(seed, rate, sites=("stream.refresh",))
 
-    clean_db, chaos_db = build_database(), build_database()
-    oracle = CountingService(clean_db, ServiceConfig(executor="serial"))
-    twin = CountingService(
-        chaos_db,
-        ServiceConfig(executor="serial", fault_plan=plan, retry=CHAOS_RETRY),
-    )
-    clean_subs = [oracle.subscribe(query) for query in queries]
-    chaos_subs = [twin.subscribe(query) for query in queries]
-    for position, event in enumerate(schedule):
-        if event.kind == "insert":
-            clean_db.add_fact(event.relation, event.fact)
-            chaos_db.add_fact(event.relation, event.fact)
-        elif event.kind == "delete":
-            clean_db.remove_fact(event.relation, event.fact)
-            chaos_db.remove_fact(event.relation, event.fact)
-        else:  # read
-            for query_index, (clean_sub, chaos_sub) in enumerate(
-                zip(clean_subs, chaos_subs)
-            ):
-                clean_read = clean_sub.read()
-                chaos_read = chaos_sub.read()
-                case.degradations += len(chaos_read.degradations)
-                case.compare(
-                    f"stream event {position} query {query_index} "
-                    f"({chaos_read.mode})",
-                    clean_read.estimate,
-                    chaos_read.estimate,
-                )
-    for subscription in (*clean_subs, *chaos_subs):
-        subscription.close()
+    for kind, build in (("monolith", build_database), ("sharded", build_sharded)):
+        clean_db, chaos_db = build(), build()
+        oracle = CountingService(clean_db, ServiceConfig(executor="serial"))
+        twin = CountingService(
+            chaos_db,
+            ServiceConfig(executor="serial", fault_plan=plan, retry=CHAOS_RETRY),
+        )
+        clean_subs = [oracle.subscribe(query) for query in queries]
+        chaos_subs = [twin.subscribe(query) for query in queries]
+        for position, event in enumerate(schedule):
+            if event.kind == "insert":
+                clean_db.add_fact(event.relation, event.fact)
+                chaos_db.add_fact(event.relation, event.fact)
+            elif event.kind == "delete":
+                clean_db.remove_fact(event.relation, event.fact)
+                chaos_db.remove_fact(event.relation, event.fact)
+            else:  # read
+                for query_index, (clean_sub, chaos_sub) in enumerate(
+                    zip(clean_subs, chaos_subs)
+                ):
+                    clean_read = clean_sub.read()
+                    chaos_read = chaos_sub.read()
+                    case.degradations += len(chaos_read.degradations)
+                    case.compare(
+                        f"{kind} stream event {position} query {query_index} "
+                        f"({chaos_read.mode})",
+                        clean_read.estimate,
+                        chaos_read.estimate,
+                    )
+        for subscription in (*clean_subs, *chaos_subs):
+            subscription.close()
     case.seconds = time.perf_counter() - started
     return case
 

@@ -9,7 +9,7 @@ running await the leader's future instead of starting their own.
 
 Identity is the :func:`coalescing_key` — ``(canonical query form, version
 fingerprint restricted to the query's relations, epsilon, delta, seed,
-method, engine)``:
+method, engine, latency budget)``:
 
 * the **canonical form** makes alpha-renamed queries coalesce (the same
   sharing the plan/result caches exploit);
@@ -18,7 +18,10 @@ method, engine)``:
   count of the *previous* database state;
 * **seed** joins the key because two requests with different explicit seeds
   are entitled to different random estimates — sharing would be wrong, not
-  just surprising.  (The issue key omits seed; correctness demands it.)
+  just surprising;
+* the resolved **latency budget** joins the key because the adaptive
+  planner's pick depends on it: requests with different budgets may be
+  planned onto different schemes.
 
 The coalescer is event-loop confined (no locks): membership checks and
 future resolution all happen on the server's asyncio loop; only the counting
@@ -58,6 +61,7 @@ def coalescing_key(service: CountingService, request: CountRequest) -> Tuple:
         request.seed,
         request.method,
         service.config.engine,
+        service._resolve_budget(request.latency_budget_seconds),
     )
 
 

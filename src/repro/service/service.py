@@ -275,12 +275,10 @@ class CountingService:
         #: remembered across batches, and the "back-end unavailable" warning
         #: fires once per instance rather than once per batch.
         self.breaker = CircuitBreaker()
-        #: Per-database streaming state (change log + live subscriptions),
-        #: keyed by structure token; populated by :meth:`subscribe`.
+        #: Per-database streaming state (live subscriptions, plus the change
+        #: log of monolithic databases), keyed by structure token; populated
+        #: by :meth:`subscribe`.
         self._streams: Dict[int, Any] = {}
-        #: Live subscriptions on sharded databases (no change log; deltas
-        #: route by shard fingerprint — see :mod:`repro.shard.subscription`).
-        self._shard_subscriptions: List[Any] = []
         #: Telemetry: the (optional) tracer spans record onto, the metrics
         #: registry every counter/histogram lands in, and the per-(canonical
         #: form, size bucket, scheme) cost profiles fed on every execution.
@@ -304,9 +302,7 @@ class CountingService:
         self.metrics.register_collector("profiles", self.profiles.stats)
 
     def _subscription_count(self) -> int:
-        return sum(
-            len(state.subscriptions) for state in self._streams.values()
-        ) + len(self._shard_subscriptions)
+        return sum(len(state.subscriptions) for state in self._streams.values())
 
     # ------------------------------------------------------------- internals
     def _resolve(self, request: RequestLike) -> CountRequest:
@@ -947,37 +943,27 @@ class CountingService:
         """Open a live handle on one query's count (see
         :mod:`repro.stream.live`).
 
-        The returned :class:`~repro.stream.live.CountSubscription` serves
-        untouched-relation updates from its fingerprint for free and folds
-        touched-relation updates in per the ``refresh`` policy (``"eager"``,
-        ``"debounced"`` or ``"budget"``) — delta-patching exact schemes
-        through the database's shared change log, re-estimating approximate
-        ones through the registry with deterministically derived seeds.
+        The returned handle — a :class:`~repro.stream.live.CountSubscription`,
+        or a :class:`~repro.shard.subscription.ShardSubscription` on a
+        sharded database — serves untouched-relation updates from its
+        fingerprint for free and folds touched-relation updates in per the
+        ``refresh`` policy (``"eager"``, ``"debounced"`` or ``"budget"``).
         """
         from repro.queries.canonical import query_relation_names
+        from repro.shard.subscription import ShardSubscription
         from repro.stream.live import CountSubscription, _StreamState
 
         resolved = self._resolve(request)
-        if isinstance(resolved.database, ShardedStructure):
-            # Sharded databases have no change log; the subscription keeps one
-            # fingerprint per query component on its owning shard, so only
-            # touched shards recount (see repro.shard.subscription).
-            from repro.shard.subscription import ShardSubscription
-
-            subscription = ShardSubscription(
-                self,
-                resolved,
-                refresh=refresh,
-                debounce_ticks=debounce_ticks,
-                budget_seconds=budget_seconds,
-            )
-            self._shard_subscriptions.append(subscription)
-            return subscription
         token = resolved.database.structure_token
         state = self._streams.get(token)
         if state is None:
             state = _StreamState(resolved.database)
             self._streams[token] = state
+        kind = (
+            ShardSubscription
+            if isinstance(resolved.database, ShardedStructure)
+            else CountSubscription
+        )
         # Watch the query's relations before the subscription takes its
         # first fingerprint, so the shared change log records them from the
         # start; undo everything if construction fails (bad policy, invalid
@@ -986,7 +972,7 @@ class CountingService:
         relations = query_relation_names(resolved.query)
         state.watch(relations)
         try:
-            subscription = CountSubscription(
+            subscription = kind(
                 self,
                 resolved,
                 state,
@@ -997,26 +983,19 @@ class CountingService:
         except BaseException:
             state.unwatch(relations)
             if not state.subscriptions:
-                state.changelog.detach()
-                self._streams.pop(token, None)
+                state.close()
+                del self._streams[token]
             raise
         state.subscriptions.append(subscription)
         return subscription
 
     def _drop_subscription(self, subscription) -> None:
-        """Called by :meth:`CountSubscription.close`; detaches the change log
-        and forgets the stream state with the last subscription."""
+        """Called by a subscription's ``close()``; detaches the change log
+        and forgets the stream state with the database's last subscription."""
         token = subscription._database.structure_token
         state = self._streams.get(token)
         if state is not None and state.discard(subscription):
             del self._streams[token]
-
-    def _drop_shard_subscription(self, subscription) -> None:
-        """Called by :meth:`ShardSubscription.close` (idempotent)."""
-        try:
-            self._shard_subscriptions.remove(subscription)
-        except ValueError:
-            pass
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -14,10 +14,11 @@ fingerprint-keyed result cache.
   delta facts into the CSP/join engine (inclusion–exclusion over touched
   atoms for quantifier-free queries, candidate-projection + membership
   probes in general).
-* :mod:`repro.stream.live` — :class:`~repro.stream.live.CountSubscription` /
-  :class:`~repro.stream.live.LiveCount`: the handles
-  ``CountingService.subscribe`` returns, with eager / debounced / budget
-  refresh policies and staleness metadata on every read.
+* :mod:`repro.stream.live` — :class:`~repro.stream.live.LiveSubscription`,
+  the one refresh loop behind the handles ``CountingService.subscribe``
+  returns (eager / debounced / budget refresh policies, staleness metadata
+  on every :class:`~repro.stream.live.LiveCount`), and its monolithic
+  recount step :class:`~repro.stream.live.CountSubscription`.
 * :mod:`repro.stream.workload` — randomized interleaved
   insert/delete/query schedules and the replay driver behind
   ``python -m repro stream`` and ``record_perf.py --suite stream``.

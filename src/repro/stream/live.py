@@ -1,72 +1,54 @@
 """Live count handles: subscriptions that stay (approximately) current.
 
-``CountingService.subscribe(request)`` returns a :class:`CountSubscription` —
-a long-lived handle on one ``(query, database)`` pair whose value survives
-database mutations.  Every :meth:`~CountSubscription.read` returns a
-:class:`LiveCount` carrying the estimate *and* its staleness metadata, and
-decides — according to the subscription's refresh policy — whether to fold
-the pending mutations in first:
+``CountingService.subscribe(request)`` returns a long-lived handle on one
+``(query, database)`` pair whose value survives database mutations.  Every
+``read()`` returns a :class:`LiveCount` carrying the estimate *and* its
+staleness metadata, and decides — according to the refresh policy — whether
+to fold the pending mutations in first.
 
-* **Untouched-relation updates are free.**  The subscription stores the
-  database fingerprint restricted to the query's relations (the same
-  restriction the service result cache keys on), so mutations elsewhere do
-  not even make the handle stale.  Universe growth is likewise ignored when
-  every query variable occurs in a positive atom (then new elements cannot
-  carry new answers without a touched fact).
-* **Touched-relation updates on exact schemes delta-patch.**  The database's
-  shared :class:`~repro.relational.changelog.ChangeLog` yields the net delta
-  since the stored fingerprint; :func:`repro.stream.delta.delta_count_exact`
-  turns it into ``new - old`` and the stored value is patched — bit-identical
-  to a from-scratch recount, at delta cost.  When the log has a gap or the
-  delta argument is inapplicable (see
-  :func:`~repro.stream.delta.delta_applicable`), the subscription falls back
-  to a full recount through the service (plan pinned at subscribe time).
-* **Touched-relation updates on approximate schemes re-estimate** through the
-  scheme registry with a deterministically derived seed
-  (``derive_seed(base_seed, refresh_index)``), so a refreshed read equals the
-  direct registry call with the same seed.  Results land in the service
-  result cache under the current fingerprint, and refreshes check that cache
-  first — concurrent subscriptions on the same shape share work.
+One refresh loop, :class:`LiveSubscription`, serves every database kind: it
+owns the policy, budget accounting, drift re-planning, the
+``stream.refresh`` fault site (retries, serve-stale), telemetry and the
+:class:`LiveCount` envelope.  Each kind plugs in a *recount step*:
 
-Refresh policies (``refresh=``):
+* :class:`CountSubscription` (monolithic databases) checks the service
+  result cache, then delta-patches exact schemes from the shared
+  :class:`~repro.relational.changelog.ChangeLog` (bit-identical to a recount,
+  at delta cost), and otherwise recounts through the service — approximate
+  schemes with seed ``derive_seed(base_seed, refresh_index)``;
+* :class:`~repro.shard.subscription.ShardSubscription` (sharded databases)
+  recounts only the query components whose relations changed.
 
-``"eager"``
-    Every read of a stale handle refreshes before returning.
-``"debounced"``
-    Refresh only once at least ``debounce_ticks`` mutation ticks (version
-    bumps of the query's relations) have accumulated; earlier reads serve
-    the stale value, marked as such.
-``"budget"``
-    Refresh while the accumulated refresh cost stays under
-    ``budget_seconds``; once exhausted, reads serve stale values until
-    :meth:`~CountSubscription.add_budget` tops the account up.
+Fingerprints are restricted to the query's relations, so mutations elsewhere
+do not even make the handle stale; universe growth counts only when some
+variable occurs outside the positive atoms.
 
-``read(force=True)`` (or :meth:`~CountSubscription.refresh`) overrides any
-policy.
+Refresh policies (``refresh=``): ``"eager"`` refreshes on every stale read;
+``"debounced"`` once at least ``debounce_ticks`` mutation ticks (version
+bumps of the query's relations) accumulated; ``"budget"`` while the
+accumulated refresh cost stays under ``budget_seconds`` (top up with
+:meth:`~LiveSubscription.add_budget`).  Earlier reads serve the stale value,
+marked as such; ``read(force=True)`` overrides any policy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.core.registry import EXACT_SCHEMES
 from repro.obs.profile import fingerprint_class
 from repro.obs.trace import activate, span
 from repro.queries.canonical import query_relation_names
-from repro.relational.changelog import ChangeLog, ChangeLogGap, rewind
+from repro.relational.changelog import ChangeLog, ChangeLogGap, Fingerprint, rewind
+from repro.relational.structure import Structure
 from repro.resilience.retry import RetriesExhausted, run_with_retry
 from repro.stream.delta import delta_applicable, delta_count_exact
 from repro.util.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
-    from repro.relational.structure import Structure
     from repro.service.service import CountingService, CountRequest
-
-#: Registered schemes whose estimates are error-free integers; only these can
-#: be delta-patched (an approximation's estimate is a random variable, not a
-#: count one can add a delta to).
-EXACT_SCHEMES = frozenset({"exact", "oracle_exact"})
 
 REFRESH_POLICIES = ("eager", "debounced", "budget")
 
@@ -93,7 +75,8 @@ class LiveCount:
     #: Whether *this* read performed a refresh.
     refreshed: bool
     #: How the served value was (last) computed: ``"initial"`` | ``"delta"``
-    #: | ``"recount"`` | ``"reestimate"`` | ``"cached"``.
+    #: | ``"recount"`` | ``"reestimate"`` | ``"cached"``, or for sharded
+    #: databases ``"shard-partial"`` | ``"shard-recount"``.
     mode: str
     #: Version bumps of the query's relations not yet folded into the value
     #: (0 when fresh).
@@ -124,28 +107,51 @@ class LiveCount:
         return int(round(self.estimate))
 
 
+def ticks_since(
+    database,
+    fingerprint: Fingerprint,
+    relations: Tuple[str, ...],
+    universe_sensitive: bool,
+) -> int:
+    """Version bumps of ``relations`` since ``fingerprint`` was taken, plus
+    universe growth when ``universe_sensitive``."""
+    old_universe, old_relations = fingerprint
+    new_universe, new_relations = database.version_fingerprint(relations)
+    ticks = sum(
+        new_version - old_version
+        for (_, old_version), (_, new_version) in zip(old_relations, new_relations)
+    )
+    if universe_sensitive:
+        ticks += new_universe - old_universe
+    return ticks
+
+
 class _StreamState:
-    """Per-database streaming state the service keeps: one shared change log
-    plus the live subscriptions reading it.
+    """Per-database streaming state the service keeps: the live
+    subscriptions on one database and, for monolithic structures, one shared
+    change log (sharded databases have no fact-observer hook, and their
+    recount step needs only fingerprints).
 
     The log only records relations some live subscription watches (refcounted
     via :meth:`watch`/part of :meth:`discard`), so heavy churn on unwatched
     relations — the advertised "free" path — cannot grow it."""
 
-    def __init__(self, database: "Structure") -> None:
+    def __init__(self, database) -> None:
         self.database = database
         self._watched: Dict[str, int] = {}
-        self.changelog = ChangeLog(
-            database, relation_filter=self._watched.__contains__
+        self.changelog: Optional[ChangeLog] = (
+            ChangeLog(database, relation_filter=self._watched.__contains__)
+            if isinstance(database, Structure)
+            else None
         )
-        self.subscriptions: List["CountSubscription"] = []
+        self.subscriptions: List["LiveSubscription"] = []
 
     def watch(self, relation_names) -> None:
         """Start recording ``relation_names`` (called before the watching
         subscription takes its first fingerprint)."""
         for name in relation_names:
             count = self._watched.get(name, 0)
-            if count == 0:
+            if count == 0 and self.changelog is not None:
                 # The unrecorded window ends here; covers() must know.
                 self.changelog.mark_floor(name)
             self._watched[name] = count + 1
@@ -158,16 +164,21 @@ class _StreamState:
             else:
                 self._watched[name] = count
 
-    def discard(self, subscription: "CountSubscription") -> bool:
+    def close(self) -> None:
+        """Stop capturing changes (idempotent)."""
+        if self.changelog is not None:
+            self.changelog.detach()
+
+    def discard(self, subscription: "LiveSubscription") -> bool:
         """Remove a subscription; returns ``True`` when none remain (the
-        caller then detaches the change log and drops this state)."""
+        change log is then detached and the caller drops this state)."""
         try:
             self.subscriptions.remove(subscription)
             self.unwatch(subscription._relations)
         except ValueError:
             pass
         if not self.subscriptions:
-            self.changelog.detach()
+            self.close()
             return True
         self.trim()
         return False
@@ -177,6 +188,8 @@ class _StreamState:
         per relation, everything at or before the minimum subscribed
         fingerprint version (relations no subscription watches are trimmed
         to the present)."""
+        if self.changelog is None:
+            return
         floors: Dict[str, int] = {}
         for subscription in self.subscriptions:
             _, relation_versions = subscription._fingerprint
@@ -191,13 +204,24 @@ class _StreamState:
             self.changelog.trim((0, entries))
 
 
-class CountSubscription:
-    """A live handle on one ``(query, database)`` count.
+#: What a recount step returns: a commit that stores the step's result and
+#: returns any provenance notes to add to the refresh's degradations.
+Commit = Callable[[], Tuple[str, ...]]
+
+
+class LiveSubscription:
+    """The refresh loop every live handle shares.
 
     Created by :meth:`repro.service.service.CountingService.subscribe`; not
     instantiated directly.  The plan (scheme, engine) is pinned at subscribe
-    time so refreshes never silently hop between schemes as the database
-    grows.
+    time so refreshes never silently hop between schemes; only drift
+    re-planning (see :meth:`_maybe_replan`) moves it.
+
+    A subclass supplies the recount step: :meth:`_start` (the initial count,
+    setting ``_estimate`` and ``_last_seed``), :meth:`pending_ticks`, and
+    :meth:`_recount`, which computes a refresh *without* touching stored state
+    and returns a :data:`Commit` — so a retried or stale-served refresh
+    leaves the subscription exactly as it was.
     """
 
     def __init__(
@@ -238,19 +262,9 @@ class CountSubscription:
         from repro.queries.prepared import prepare
 
         # The query never changes; compute its canonical key once instead of
-        # re-canonicalising on every refresh's cache lookup.
+        # re-canonicalising on every refresh.
         self._canonical_key = prepare(request.query).canonical_key
-        # Universe growth can only matter when some variable ranges outside
-        # the positive atoms (see delta_applicable); otherwise ignore it.
-        self._universe_sensitive = not delta_applicable(request.query, True)
-        self.plan = service.planner.plan(
-            request.query,
-            self._database,
-            override=request.method,
-            latency_budget_seconds=service._resolve_budget(
-                request.latency_budget_seconds
-            ),
-        )
+        self.plan = self._plan()
         self.scheme = self.plan.scheme
         self.query_class = self.plan.query_class
         #: Drift tracking: the fingerprint class the current plan was made
@@ -260,54 +274,48 @@ class CountSubscription:
         self._error_ratios: List[float] = []
         self._replans = 0
         self._replan_events: Tuple[str, ...] = ()
-        self._force_recount = False
 
-        # Initial compute, through the service (plans, caches, registry).
         self._refresh_count = 0
         #: Position among the state's subscriptions at creation — the stable
         #: half of this subscription's ``stream.refresh`` fault key.
         self._ordinal = len(state.subscriptions)
         self._degradations: Tuple[str, ...] = ()
         self._gap_recounts = 0
-        self._gap_note: Optional[str] = None
-        self._last_seed = self._seed_for(0)
-        result = service.submit(
-            request.query,
-            self._database,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            seed=self._last_seed,
-            method=self.scheme,
-        )
-        self._estimate = result.estimate
+        self._last_seed: Optional[int] = None
+        # Nothing is stored yet, so the initial count recounts everything.
+        self._force_recount = True
+        self._start()
+        self._force_recount = False
         self._mode = "initial"
-        self._fingerprint = self._current_fingerprint()
 
-    # -------------------------------------------------------------- internals
-    def _seed_for(self, refresh_index: int) -> Optional[int]:
-        if self.scheme in EXACT_SCHEMES:
-            # Exact schemes ignore randomness; a stable None seed makes their
-            # result-cache entries shareable across refreshes and callers.
-            return None
-        if self._base_seed is None:
-            return None
-        return derive_seed(self._base_seed, refresh_index)
-
-    def _current_fingerprint(self) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
-        return self._database.version_fingerprint(self._relations)
+    # ------------------------------------------------------ the recount step
+    def _start(self) -> None:
+        raise NotImplementedError
 
     def pending_ticks(self) -> int:
-        """Version bumps of the query's relations (plus universe growth, when
-        this query is sensitive to it) since the stored value."""
-        old_universe, old_relations = self._fingerprint
-        new_universe, new_relations = self._current_fingerprint()
-        ticks = sum(
-            new_version - old_version
-            for (_, old_version), (_, new_version) in zip(old_relations, new_relations)
+        """Version bumps not yet folded into the served value."""
+        raise NotImplementedError
+
+    def _recount(self, refresh_index: int) -> Commit:
+        raise NotImplementedError
+
+    # ---------------------------------------------------------- shared loop
+    def _plan(self):
+        return self._service.planner.plan(
+            self.query,
+            self._database,
+            override=self._request.method,
+            latency_budget_seconds=self._service._resolve_budget(
+                self._request.latency_budget_seconds
+            ),
         )
-        if self._universe_sensitive:
-            ticks += new_universe - old_universe
-        return ticks
+
+    def _seed_for(self, refresh_index: int, *component: int) -> Optional[int]:
+        # Exact schemes ignore randomness; a stable None seed makes their
+        # result-cache entries shareable across refreshes and callers.
+        if self.scheme in EXACT_SCHEMES or self._base_seed is None:
+            return None
+        return derive_seed(self._base_seed, refresh_index, *component)
 
     def _should_refresh(self, ticks: int) -> bool:
         if ticks <= 0:
@@ -318,48 +326,57 @@ class CountSubscription:
             return ticks >= self._debounce_ticks
         return self._spent_seconds < self._budget_seconds
 
-    def _result_cache_key(self, seed: Optional[int]):
-        return self._service._result_key(
-            self._canonical_key, self._request, self.plan,
-            self.epsilon, self.delta, seed,
-        )
-
     def _refresh(self) -> None:
         """Fold pending mutations in, under the service's failure model.
 
-        The refresh body is one retryable operation at the
+        The recount step is one retryable operation at the
         ``stream.refresh`` fault site (key = subscription ordinal + refresh
         index); a retried refresh re-runs with the same derived seed, so
         recovery is bit-identical.  When retries run out the subscription
-        *serves stale*: the stored value, fingerprint, and refresh index all
-        stay put, so the next read simply tries this refresh again.
+        *serves stale*: nothing is committed, so the next read simply tries
+        this refresh again.
 
         Telemetry: each refresh records a ``stream.refresh`` span on the
-        service's tracer (a nested ``submit`` nests under it thanks to
-        tracer re-activation being a no-op), a per-mode refresh counter and
-        a refresh-latency histogram on the service's metrics registry."""
-        spent_before = self._spent_seconds
-        refreshes_before = self._refresh_count
+        service's tracer (a nested ``submit`` nests under it), a per-mode
+        ``stream.refreshes`` counter and a ``stream.refresh_seconds``
+        histogram on the service's metrics registry."""
+        refresh_index = self._refresh_count + 1
+        site_key = (self._ordinal, refresh_index)
         with activate(self._service.tracer):
             with span(
                 "stream.refresh",
                 ordinal=self._ordinal,
-                refresh_index=self._refresh_count + 1,
+                refresh_index=refresh_index,
                 scheme=self.scheme,
             ) as refresh_span:
                 self._maybe_replan(refresh_span)
-                self._refresh_inner()
-                # A refresh that did not advance the counter exhausted its
-                # retries and the subscription is serving stale.
-                mode = self._mode if self._refresh_count > refreshes_before else "stale"
+                started = time.perf_counter()
+                try:
+                    commit, trace = run_with_retry(
+                        lambda: self._recount(refresh_index),
+                        sites=(("stream.refresh", site_key),),
+                        policy=self._service.config.retry,
+                        plan=self._service.config.fault_plan,
+                    )
+                except RetriesExhausted as error:
+                    self._degradations = (
+                        f"stream.refresh{list(site_key)}: retries exhausted; "
+                        f"serving stale value ({error})",
+                    )
+                    mode = "stale"
+                else:
+                    self._degradations = tuple(trace.notes) + commit()
+                    self._refresh_count = refresh_index
+                    self._force_recount = False
+                    mode = self._mode
+                seconds = time.perf_counter() - started
+                self._spent_seconds += seconds
                 refresh_span.set(mode=mode)
                 for note in self._degradations:
                     refresh_span.event(note)
         metrics = self._service.metrics
         metrics.counter("stream.refreshes", mode=mode).inc()
-        metrics.histogram("stream.refresh_seconds").observe(
-            self._spent_seconds - spent_before
-        )
+        metrics.histogram("stream.refresh_seconds").observe(seconds)
 
     def _maybe_replan(self, refresh_span) -> None:
         """Drift detection, run before every refresh folds mutations in (so
@@ -385,14 +402,7 @@ class CountSubscription:
                 )
         if reason is None:
             return
-        fresh = self._service.planner.plan(
-            self.query,
-            self._database,
-            override=self._request.method,
-            latency_budget_seconds=self._service._resolve_budget(
-                self._request.latency_budget_seconds
-            ),
-        )
+        fresh = self._plan()
         self._planned_class = current_class
         self._error_ratios = []
         changed = (fresh.scheme, fresh.engine) != (self.plan.scheme, self.plan.engine)
@@ -402,10 +412,10 @@ class CountSubscription:
         self.query_class = fresh.query_class
         if not changed:
             return
-        # The stored estimate came from the old scheme; delta-patching it
-        # under the new plan would corrupt the stream, so the next refresh
-        # recounts from scratch (the result cache stays safe — its keys
-        # carry the scheme).
+        # The stored value came from the old scheme; patching it (or serving
+        # cached per-component counts) under the new plan would corrupt the
+        # stream, so the next refresh recounts from scratch (the result cache
+        # stays safe — its keys carry the scheme).
         self._force_recount = True
         self._replans += 1
         note = (
@@ -423,9 +433,10 @@ class CountSubscription:
         self._service.metrics.counter("stream.replans").inc()
 
     def _note_prediction_error(self, seconds: float) -> None:
-        """Feed the rolling drift window with one refresh's actual latency
-        against the cost model's current prediction for the pinned scheme
-        (skipped while the sketch is cold — no prediction to be wrong)."""
+        """Feed the rolling drift window with one full recount's actual
+        latency against the cost model's current prediction for the pinned
+        scheme (skipped while the sketch is cold — no prediction to be
+        wrong)."""
         prediction = self._service.cost_model.predict(
             self._canonical_key,
             self._database.size(),
@@ -436,96 +447,6 @@ class CountSubscription:
             return
         self._error_ratios.append(seconds / prediction.seconds)
         del self._error_ratios[:-REPLAN_ERROR_WINDOW]
-
-    def _refresh_inner(self) -> None:
-        started = time.perf_counter()
-        seed = self._seed_for(self._refresh_count + 1)
-        self._gap_note = None
-
-        def work() -> None:
-            key = self._result_cache_key(seed)
-            cached = self._service.result_cache.get(key)
-            if cached is not None:
-                self._estimate = cached
-                self._mode = "cached"
-            elif (
-                not self._force_recount
-                and self.scheme in EXACT_SCHEMES
-                and self._try_delta_patch()
-            ):
-                self._service.result_cache.put(key, self._estimate)
-            else:
-                result = self._service.submit(
-                    self.query,
-                    self._database,
-                    epsilon=self.epsilon,
-                    delta=self.delta,
-                    seed=seed,
-                    method=self.scheme,
-                )
-                self._estimate = result.estimate
-                self._mode = (
-                    "recount" if self.scheme in EXACT_SCHEMES else "reestimate"
-                )
-                self._note_prediction_error(result.execute_seconds)
-
-        site_key = (self._ordinal, self._refresh_count + 1)
-        try:
-            _, trace = run_with_retry(
-                work,
-                sites=(("stream.refresh", site_key),),
-                policy=self._service.config.retry,
-                plan=self._service.config.fault_plan,
-            )
-        except RetriesExhausted as error:
-            self._degradations = (
-                f"stream.refresh{list(site_key)}: retries exhausted; "
-                f"serving stale value ({error})",
-            )
-            self._spent_seconds += time.perf_counter() - started
-            return
-        notes = list(trace.notes)
-        if self._gap_note is not None:
-            self._gap_recounts += 1
-            notes.append(self._gap_note)
-        self._degradations = tuple(notes)
-        self._refresh_count += 1
-        self._force_recount = False
-        self._last_seed = seed
-        # Re-anchor: the new fingerprint is taken *after* the refresh folded
-        # everything in, and trim() below floors the shared log at the
-        # subscriptions' new minima — so even a gap-forced recount leaves the
-        # log able to delta-patch the next refresh.
-        self._fingerprint = self._current_fingerprint()
-        self._spent_seconds += time.perf_counter() - started
-        self._state.trim()
-
-    def _try_delta_patch(self) -> bool:
-        """Patch the stored exact count from the change log's net delta;
-        ``False`` when the log has a gap or the delta argument is unsound
-        here (the caller then recounts)."""
-        old_universe, _ = self._fingerprint
-        universe_changed = self._database._universe_version != old_universe
-        if not delta_applicable(self.query, universe_changed):
-            return False
-        changelog = self._state.changelog
-        try:
-            delta = changelog.delta_since(self._fingerprint)
-        except ChangeLogGap as gap:
-            self._gap_note = (
-                f"stream.refresh[{self._ordinal}]: change-log gap ({gap}); "
-                "full recount, fingerprint re-anchored"
-            )
-            return False
-        if delta:
-            old_database = rewind(self._database, delta)
-            report = delta_count_exact(
-                self.query, old_database, self._database, delta,
-                engine=self.plan.engine,
-            )
-            self._estimate = self._estimate + report.delta
-        self._mode = "delta"
-        return True
 
     # ----------------------------------------------------------------- public
     def read(self, force: bool = False) -> LiveCount:
@@ -538,7 +459,7 @@ class CountSubscription:
         if force and ticks > 0 or not force and self._should_refresh(ticks):
             self._refresh()
             # A refresh that exhausted its retries serves stale: the
-            # fingerprint did not advance, so the ticks stay pending.
+            # fingerprints did not advance, so the ticks stay pending.
             ticks = self.pending_ticks()
             refreshed = ticks == 0
         return LiveCount(
@@ -583,7 +504,7 @@ class CountSubscription:
             self._closed = True
             self._service._drop_subscription(self)
 
-    def __enter__(self) -> "CountSubscription":
+    def __enter__(self) -> "LiveSubscription":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -591,13 +512,106 @@ class CountSubscription:
 
     def __repr__(self) -> str:
         return (
-            f"CountSubscription(scheme={self.scheme!r}, policy={self._policy!r}, "
-            f"estimate={self._estimate}, refreshes={self._refresh_count})"
+            f"{type(self).__name__}(scheme={self.scheme!r}, "
+            f"policy={self._policy!r}, estimate={self._estimate}, "
+            f"refreshes={self._refresh_count})"
         )
+
+
+class CountSubscription(LiveSubscription):
+    """The recount step for monolithic databases: result cache, then a
+    delta patch from the shared change log (exact schemes), then a recount
+    through the service."""
+
+    def _start(self) -> None:
+        # Universe growth can only matter when some variable ranges outside
+        # the positive atoms (see delta_applicable); otherwise ignore it.
+        self._universe_sensitive = not delta_applicable(self.query, True)
+        self._last_seed = self._seed_for(0)
+        self._estimate = self._submit(self._last_seed).estimate
+        self._fingerprint = self._current_fingerprint()
+
+    def _submit(self, seed: Optional[int]):
+        return self._service.submit(
+            self.query,
+            self._database,
+            epsilon=self.epsilon,
+            delta=self.delta,
+            seed=seed,
+            method=self.scheme,
+        )
+
+    def _current_fingerprint(self) -> Fingerprint:
+        return self._database.version_fingerprint(self._relations)
+
+    def pending_ticks(self) -> int:
+        """Version bumps of the query's relations (plus universe growth, when
+        this query is sensitive to it) since the stored value."""
+        return ticks_since(
+            self._database, self._fingerprint, self._relations, self._universe_sensitive
+        )
+
+    def _recount(self, refresh_index: int) -> Commit:
+        seed = self._seed_for(refresh_index)
+        key = self._service._result_key(
+            self._canonical_key, self._request, self.plan, self.epsilon, self.delta, seed
+        )
+        estimate = self._service.result_cache.get(key)
+        mode, seconds, gap_note = "cached", None, None
+        if estimate is None and not self._force_recount and self.scheme in EXACT_SCHEMES:
+            estimate, gap_note = self._delta_patch()
+            if estimate is not None:
+                mode = "delta"
+                self._service.result_cache.put(key, estimate)
+        if estimate is None:
+            result = self._submit(seed)
+            estimate, seconds = result.estimate, result.execute_seconds
+            mode = "recount" if self.scheme in EXACT_SCHEMES else "reestimate"
+
+        def commit() -> Tuple[str, ...]:
+            self._estimate, self._mode, self._last_seed = estimate, mode, seed
+            if seconds is not None:
+                self._note_prediction_error(seconds)
+            # Re-anchor: the new fingerprint is taken *after* the refresh
+            # folded everything in, and trim() floors the shared log at the
+            # subscriptions' new minima — so even a gap-forced recount leaves
+            # the log able to delta-patch the next refresh.
+            self._fingerprint = self._current_fingerprint()
+            self._state.trim()
+            if gap_note is None:
+                return ()
+            self._gap_recounts += 1
+            return (gap_note,)
+
+        return commit
+
+    def _delta_patch(self) -> Tuple[Optional[float], Optional[str]]:
+        """The stored exact count patched by the change log's net delta, or
+        ``None`` (plus a gap note when the log has a gap) when the delta
+        argument is unsound here and the caller must recount."""
+        old_universe, _ = self._fingerprint
+        universe_changed = self._database._universe_version != old_universe
+        if not delta_applicable(self.query, universe_changed):
+            return None, None
+        try:
+            delta = self._state.changelog.delta_since(self._fingerprint)
+        except ChangeLogGap as gap:
+            return None, (
+                f"stream.refresh[{self._ordinal}]: change-log gap ({gap}); "
+                "full recount, fingerprint re-anchored"
+            )
+        if not delta:
+            return self._estimate, None
+        old_database = rewind(self._database, delta)
+        report = delta_count_exact(
+            self.query, old_database, self._database, delta, engine=self.plan.engine
+        )
+        return self._estimate + report.delta, None
 
 
 __all__ = [
     "LiveCount",
+    "LiveSubscription",
     "CountSubscription",
     "REFRESH_POLICIES",
     "EXACT_SCHEMES",

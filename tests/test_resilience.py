@@ -386,10 +386,12 @@ class TestFaultsNeverChangeEstimates:
                 retry=RETRY,
             )
 
-    def test_stream_refresh_faults_serve_stale_then_recover(self, database):
+    @pytest.mark.parametrize("sharded", [False, True], ids=["monolith", "sharded"])
+    def test_stream_refresh_faults_serve_stale_then_recover(self, database, sharded):
         plan = FaultPlan(
             seed=7, rules=(FaultRule(site="stream.refresh", kind="crash", times=99),)
         )
+        database = live_database(database, sharded)
         service = CountingService(
             database,
             ServiceConfig(executor="serial", fault_plan=plan, retry=RETRY),
@@ -402,14 +404,15 @@ class TestFaultsNeverChangeEstimates:
         # provenance instead of raising.
         assert stale.estimate == before.estimate
         assert not stale.fresh and not stale.refreshed
+        assert stale.refresh_count == 0
         assert any("serving stale" in note for note in stale.degradations)
         subscription.close()
 
-    def test_stream_transient_fault_refreshes_bit_identically(self, database):
-        twin = Database.from_relations(
-            {name: sorted(database.relation(name)) for name in ("E", "F")}
-        )
-        clean_service = CountingService(database, ServiceConfig(executor="serial"))
+    @pytest.mark.parametrize("sharded", [False, True], ids=["monolith", "sharded"])
+    def test_stream_transient_fault_refreshes_bit_identically(self, database, sharded):
+        clean_db = live_database(database, sharded)
+        twin = live_database(database, sharded)
+        clean_service = CountingService(clean_db, ServiceConfig(executor="serial"))
         plan = FaultPlan(
             seed=7, rules=(FaultRule(site="stream.refresh", kind="crash", times=1),)
         )
@@ -419,13 +422,29 @@ class TestFaultsNeverChangeEstimates:
         clean_sub = clean_service.subscribe(parse_query(CQ))
         chaos_sub = chaos_service.subscribe(parse_query(CQ))
         for fact in ((9, 1), (10, 9)):
-            database.add_fact("E", fact)
+            clean_db.add_fact("E", fact)
             twin.add_fact("E", fact)
             clean_read, chaos_read = clean_sub.read(), chaos_sub.read()
             assert chaos_read.estimate == clean_read.estimate
             assert chaos_read.fresh
+            assert any("InjectedCrash" in note for note in chaos_read.degradations)
         clean_sub.close()
         chaos_sub.close()
+
+
+def live_database(database, sharded):
+    """A fresh copy of ``database``: monolithic, or split by relation over
+    two shards (E on shard 0, F on shard 1)."""
+    copy = Database.from_relations(
+        {name: sorted(database.relation(name)) for name in ("E", "F")}
+    )
+    if not sharded:
+        return copy
+    from repro.shard import ByRelationPartitioner, ShardedStructure
+
+    return ShardedStructure.from_structure(
+        copy, ByRelationPartitioner(2, assignment={"E": 0, "F": 1})
+    )
 
 
 # ---------------------------------------------------------------- chaos smoke

@@ -293,6 +293,10 @@ class TestCoalescer:
         base = coalescing_key(service, CountRequest(query=query, seed=1))
         assert base == coalescing_key(service, CountRequest(query=query, seed=1))
         assert base != coalescing_key(service, CountRequest(query=query, seed=2))
+        assert base != coalescing_key(
+            service,
+            CountRequest(query=query, seed=1, latency_budget_seconds=0.5),
+        )
         medium_database.add_fact("E", (0, 0))  # self-loops never pre-exist
         assert base != coalescing_key(service, CountRequest(query=query, seed=1))
 
@@ -504,6 +508,54 @@ class TestServerEndToEnd:
             assert len(events) == 2
             assert events[1].estimate == first + 2  # exact scheme, delta-patched
             assert events[1].mode in {"delta", "recount", "estimate"}
+
+    def test_sse_policy_parameters_are_passed_through(self, medium_database):
+        """Explicit zeros are values, not absent parameters: debounce_ticks=0
+        is rejected, and budget_seconds=0 leaves a budget subscription no
+        refresh allowance, so its first post-mutation event is stale."""
+        import http.client
+        from urllib.parse import urlencode
+
+        from repro.serve.client import _sse_data_lines
+
+        def open_stream(handle, **params):
+            connection = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=30
+            )
+            query = urlencode({"query": "Ans(x, y) :- E(x, y)", **params})
+            connection.request("GET", "/v1/subscribe?" + query)
+            return connection, connection.getresponse()
+
+        with running_server(medium_database) as (_, handle):
+            connection, response = open_stream(handle, debounce_ticks=0)
+            assert response.status == 400
+            assert "debounce_ticks" in json.loads(response.read())["error"]
+            connection.close()
+
+            events = []
+
+            def subscriber():
+                connection, response = open_stream(
+                    handle, refresh="budget", budget_seconds=0, max_events=2
+                )
+                assert response.status == 200
+                for line in _sse_data_lines(response):
+                    events.append(schema.decode(json.loads(line), expect="live_count"))
+                connection.close()
+
+            thread = threading.Thread(target=subscriber)
+            thread.start()
+            deadline = time.time() + 10
+            while not events and time.time() < deadline:
+                time.sleep(0.02)
+            assert events, "first SSE event never arrived"
+            client_for(handle).add_facts(adds=[("E", (0, 99))])
+            thread.join(timeout=30)
+            assert len(events) == 2
+            stale = events[1]
+            assert not stale.fresh and not stale.refreshed
+            assert stale.pending_ticks == 1
+            assert stale.estimate == events[0].estimate
 
     def test_facts_removal_and_unknown_fact_is_400(self, medium_database):
         with running_server(medium_database) as (_, handle):

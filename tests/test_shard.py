@@ -380,14 +380,15 @@ class TestServiceIntegration:
 
 # ------------------------------------------------------- stream-delta routing
 class TestShardSubscription:
-    def make_subscribed(self, refresh="eager", **kwargs):
+    def make_subscribed(self, refresh="eager", seed_method=("exact", None), **kwargs):
         database = make_database()
         sharded = ShardedStructure.from_structure(
             database, ByRelationPartitioner(2, assignment={"E": 0, "F": 1})
         )
         service = CountingService(sharded, ServiceConfig(executor="serial"))
+        method, seed = seed_method
         subscription = service.subscribe(
-            CountRequest(query=parse_query(MULTI), method="exact"),
+            CountRequest(query=parse_query(MULTI), method=method, seed=seed),
             refresh=refresh,
             **kwargs,
         )
@@ -444,6 +445,60 @@ class TestShardSubscription:
         live = subscription.read()
         assert live.refreshed and live.fresh
         assert subscription.component_refreshes == (0, 1)
+
+    def test_budget_policy_serves_stale_until_topped_up(self):
+        service, sharded, subscription = self.make_subscribed(
+            refresh="budget", budget_seconds=0.0
+        )
+        sharded.add_fact("F", (7, 8))
+        live = subscription.read()
+        assert not live.fresh and not live.refreshed
+        assert subscription.component_refreshes == (0, 0)
+        subscription.add_budget(60.0)
+        live = subscription.read()
+        assert live.fresh and live.refreshed
+        assert subscription.component_refreshes == (0, 1)
+        assert subscription.spent_seconds > 0
+        assert live.estimate == count_answers_exact(parse_query(MULTI), sharded.merged())
+
+    def test_approximate_components_match_direct_registry_calls(self):
+        service, sharded, subscription = self.make_subscribed(seed_method=("fpras_cq", 5))
+
+        def direct(refresh_index, task):
+            return REGISTRY.count(
+                "fpras_cq",
+                task.query,
+                sharded.shards[task.shard],
+                epsilon=subscription.epsilon,
+                delta=subscription.delta,
+                rng=derive_seed(5, refresh_index, task.component),
+                engine=subscription.plan.engine,
+            ).estimate
+
+        tasks = subscription.shard_plan.tasks
+        assert len(tasks) == 2
+        initial = subscription.read()
+        assert initial.mode == "initial"
+        assert initial.estimate == direct(0, tasks[0]) * direct(0, tasks[1])
+        sharded.add_fact("F", (7, 8))
+        live = subscription.read()
+        assert live.mode == "shard-partial"
+        assert live.seed == derive_seed(5, 1, tasks[1].component)
+        assert live.estimate == direct(0, tasks[0]) * direct(1, tasks[1])
+
+    def test_sharded_refreshes_are_metered(self):
+        service, sharded, subscription = self.make_subscribed()
+        sharded.add_fact("F", (7, 8))
+        subscription.read()
+        sharded.add_fact("E", (0, 8))
+        sharded.add_fact("F", (8, 7))
+        subscription.read()
+        metrics = service.metrics.snapshot()
+        assert metrics["counters"]["stream.refreshes"] == {
+            "mode=shard-partial": 1.0,
+            "mode=shard-recount": 1.0,
+        }
+        assert metrics["histograms"]["stream.refresh_seconds"][""]["count"] == 2
 
     def test_forced_refresh_overrides_policy(self):
         service, sharded, subscription = self.make_subscribed(
