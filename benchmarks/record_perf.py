@@ -13,7 +13,12 @@ Nine suites, selected with ``--suite`` (default: all):
   ``bench_star_queries`` (the footnote-4 star family), verifies that both
   engines — and, on the smallest configuration, the independent brute-force
   counter — produce identical counts, and appends a timestamped speedup
-  record to ``BENCH_engine.json``.
+  record to ``BENCH_engine.json``.  A projection config
+  (``Ans(x) :- E(x,y),E(y,z),E(z,w)`` on an Erdős–Rényi database) records
+  answers vs solutions and the time of ``count_solutions_exact`` (the
+  solution enumeration the answer counter used to do) over the time of
+  ``count_answers_exact`` (the projected search) as ``projection_speedup``,
+  with the answer count verified equal across all three engines.
 * ``service`` — drives a ≥50-query mixed CQ/DCQ/ECQ workload through
   :class:`repro.service.CountingService` serially and with the process-pool
   executor, verifies that every service estimate equals the direct library
@@ -113,12 +118,16 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.applications import star_instance  # noqa: E402
-from repro.core import count_answers_exact  # noqa: E402
+from repro.core import count_answers_exact, count_solutions_exact  # noqa: E402
+from repro.queries import parse_query  # noqa: E402
 from repro.queries.builders import path_query  # noqa: E402
 from repro.workloads import database_from_graph, erdos_renyi_graph  # noqa: E402
 
 TWO_HOP = path_query(2, free_endpoints_only=True)
 STAR_GRAPH = erdos_renyi_graph(12, 0.3, rng=17)
+#: One free variable followed by a quantified path: every answer has many
+#: solutions, so the projected search's early exit is what is measured.
+PROJECTION_QUERY = parse_query("Ans(x) :- E(x, y), E(y, z), E(z, w)")
 
 
 def _scaling_config(size: int):
@@ -237,6 +246,10 @@ def run_engine(smoke: bool, out_path: Path, repeats: int, budget_seconds: float)
             f"speedup={speedup:.1f}x counts_match={counts_match}"
         )
 
+    projection = _projection_config(smoke, repeats)
+    if not projection["counts_match"]:
+        failures += 1
+
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "mode": "smoke" if smoke else "full",
@@ -244,11 +257,54 @@ def run_engine(smoke: bool, out_path: Path, repeats: int, budget_seconds: float)
         "baseline": "naive",
         "configs": results,
         "min_speedup": round(min((r["speedup"] for r in results), default=0.0), 2),
+        "projection": projection,
         "all_counts_match": failures == 0,
     }
     _append_record(out_path, record)
     print(f"[record_perf] appended record to {out_path} (min speedup {record['min_speedup']}x)")
-    return (1 if failures else 0), {"min_speedup": record["min_speedup"]}
+    return (1 if failures else 0), {
+        "min_speedup": record["min_speedup"],
+        "projection_speedup": projection["projection_speedup"],
+    }
+
+
+def _projection_config(smoke: bool, repeats: int) -> dict:
+    """Answers vs solutions on :data:`PROJECTION_QUERY`: the indexed
+    engine's ``count_solutions_exact`` (every solution enumerated) timed
+    against its ``count_answers_exact`` (one witness per answer)."""
+    size, probability = (60, 0.15) if smoke else (120, 0.15)
+    name = f"projection|Ans(x) :- E(x,y),E(y,z),E(z,w)|ER({size}, {probability})"
+    database = database_from_graph(erdos_renyi_graph(size, probability, rng=size))
+    counts = {
+        engine: count_answers_exact(PROJECTION_QUERY, database, engine=engine)
+        for engine in ("naive", "indexed", "columnar")
+    }
+    answers = counts["indexed"]
+    solutions = count_solutions_exact(PROJECTION_QUERY, database)
+    counts_match = len(set(counts.values())) == 1 and 0 < answers <= solutions
+    solutions_time = _best_of(
+        lambda: count_solutions_exact(PROJECTION_QUERY, database), repeats
+    )
+    answers_time = _best_of(
+        lambda: count_answers_exact(PROJECTION_QUERY, database), repeats
+    )
+    speedup = solutions_time / answers_time if answers_time > 0 else float("inf")
+    print(
+        f"[record_perf] {name}: answers={answers} solutions={solutions} "
+        f"count_solutions={solutions_time * 1000:.1f}ms "
+        f"count_answers={answers_time * 1000:.1f}ms "
+        f"projection_speedup={speedup:.1f}x counts_match={counts_match}"
+    )
+    return {
+        "config": name,
+        "answers": answers,
+        "solutions": solutions,
+        "counts_by_engine": counts,
+        "counts_match": counts_match,
+        "count_solutions_seconds": round(solutions_time, 6),
+        "count_answers_seconds": round(answers_time, 6),
+        "projection_speedup": round(speedup, 2),
+    }
 
 
 # --------------------------------------------------------------- service suite

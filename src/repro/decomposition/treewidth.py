@@ -10,7 +10,7 @@ decompositions with :func:`decomposition_from_ordering`.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
@@ -35,34 +35,48 @@ def exact_treewidth(hypergraph: Hypergraph) -> int:
     return int(width)
 
 
-def _greedy_ordering(graph: nx.Graph, strategy: str) -> List:
-    """Greedy elimination ordering using the min-degree or min-fill rule."""
-    working = graph.copy()
+def _greedy_ordering(
+    graph: nx.Graph, strategy: str, last: AbstractSet = frozenset()
+) -> List:
+    """Greedy elimination ordering using the min-degree or min-fill rule.
+
+    Ties are broken by eliminating vertices outside ``last`` first, then by
+    ``repr``; with the empty default only ``repr`` breaks ties.  ``graph``
+    is a simple graph (no self-loops), as :meth:`Hypergraph.primal_graph`
+    builds.  The elimination runs on plain adjacency sets: the CSP engine
+    computes an order per instance, and for its few-vertex graphs the
+    networkx per-call overhead dominated.
+    """
+    adjacency = {v: set(graph.neighbors(v)) for v in graph.nodes()}
     ordering: List = []
-    while working.number_of_nodes() > 0:
+    while adjacency:
         if strategy == "min_degree":
             vertex = min(
-                working.nodes(), key=lambda v: (working.degree(v), repr(v))
+                adjacency, key=lambda v: (len(adjacency[v]), v in last, repr(v))
             )
         elif strategy == "min_fill":
 
             def fill_in(v) -> int:
-                neighbours = list(working.neighbors(v))
+                neighbours = list(adjacency[v])
                 missing = 0
                 for i, u in enumerate(neighbours):
+                    adjacent = adjacency[u]
                     for w in neighbours[i + 1 :]:
-                        if not working.has_edge(u, w):
+                        if w not in adjacent:
                             missing += 1
                 return missing
 
-            vertex = min(working.nodes(), key=lambda v: (fill_in(v), repr(v)))
+            vertex = min(
+                adjacency, key=lambda v: (fill_in(v), v in last, repr(v))
+            )
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        neighbours = list(working.neighbors(vertex))
-        for i, u in enumerate(neighbours):
-            for w in neighbours[i + 1 :]:
-                working.add_edge(u, w)
-        working.remove_node(vertex)
+        neighbours = adjacency.pop(vertex)
+        for u in neighbours:
+            adjacent = adjacency[u]
+            adjacent |= neighbours
+            adjacent.discard(u)
+            adjacent.discard(vertex)
         ordering.append(vertex)
     return ordering
 

@@ -18,11 +18,15 @@ The engine combines
   practice — the role Theorem 31 plays in the paper.
 
 It supports deciding satisfiability, finding one solution, enumerating, and
-counting all solutions.
+counting all solutions, and a *projected search* (:meth:`CSPInstance.iter_projected`)
+that enumerates the projections of the solutions onto a set of variables
+without enumerating every solution: once every projected variable is
+assigned, the first complete extension is taken as the witness and the search
+backjumps to the deepest projected variable.
 
 Engine architecture
 -------------------
-Two interchangeable engines implement the same semantics (identical solution
+Three interchangeable engines implement the same semantics (identical solution
 sets *and* identical enumeration order); select one with
 ``CSPInstance(..., engine=...)``:
 
@@ -511,20 +515,43 @@ class CSPInstance:
                     v for v in self.variables if v not in known
                 ]
             else:
-                from repro.decomposition.treewidth import _greedy_ordering  # local import
-
-                hypergraph = self.constraint_hypergraph()
-                if hypergraph.num_edges() == 0:
-                    self._order_cache = self.variables
-                else:
-                    ordering = _greedy_ordering(hypergraph.primal_graph(), "min_fill")
-                    ordered = list(reversed(ordering))
-                    remaining = [v for v in self.variables if v not in set(ordered)]
-                    self._order_cache = ordered + remaining
+                self._order_cache = self._min_fill_order(frozenset())
         return list(self._order_cache)
 
-    # Backwards-compatible private alias.
-    _search_order = search_order
+    def projected_order(self, projected: Iterable[Variable]) -> List[Variable]:
+        """The variable order of :meth:`iter_projected`: the min-fill order
+        of :meth:`search_order`, except that among vertices of equal fill the
+        non-projected (quantified) ones are eliminated first.  Reversed, this
+        assigns projected variables first whenever that costs no extra fill;
+        it does not force them first, since free variables linked only
+        through a quantified one would then be enumerated as a cross product.
+
+        The tie-broken order is used when it assigns the projected variables
+        first, or else puts the deepest of them earlier than
+        :meth:`search_order` does.  Otherwise the backjump cuts no more of
+        the tree, and the reshuffle only costs: a star query with its leaves
+        free would assign a leaf before the centre and forward-check from the
+        centre once per edge instead of once per vertex.  A ``search_order``
+        given at construction is used as is."""
+        last = frozenset(projected)
+        if self._order_hint is not None or not last or last >= self._domains.keys():
+            return self.search_order()
+        aware = self._min_fill_order(last)
+        cut = _deepest(aware, last)
+        if cut == len(last) - 1 or cut < _deepest(self.search_order(), last):
+            return aware
+        return self.search_order()
+
+    def _min_fill_order(self, last: FrozenSet[Variable]) -> List[Variable]:
+        from repro.decomposition.treewidth import _greedy_ordering  # local import
+
+        hypergraph = self.constraint_hypergraph()
+        if hypergraph.num_edges() == 0:
+            return self.variables
+        ordering = _greedy_ordering(hypergraph.primal_graph(), "min_fill", last)
+        ordered = list(reversed(ordering))
+        placed = set(ordered)
+        return ordered + [v for v in self.variables if v not in placed]
 
     def propagate(
         self, domains: Optional[Dict[Variable, Set[Value]]] = None
@@ -878,7 +905,9 @@ class CSPInstance:
             domains[variable] = {values[code] for code in np.flatnonzero(masks[vi])}
         return domains
 
-    def _iter_columnar(self, limit: Optional[int]) -> Iterator[Dict[Variable, Value]]:
+    def _iter_columnar(
+        self, limit: Optional[int], order: List[Variable], cut: int
+    ) -> Iterator[Dict[Variable, Value]]:
         """Vectorized search over the interned columns: same variable order,
         same (ascending-code = repr-sorted) value order, and sound
         forward-checking — hence the same solutions in the same order as the
@@ -886,7 +915,7 @@ class CSPInstance:
         domains = {v: set(values) for v, values in self._domains.items()}
         outcome = self._columnar_fixpoint(domains, True)
         if outcome is _COLUMNAR_UNSET:
-            yield from self._iter_indexed(limit)
+            yield from self._iter_indexed(limit, order, cut)
             return
         if outcome is None:
             return
@@ -896,7 +925,6 @@ class CSPInstance:
         values = encoder.values
         n_codes = len(encoder)
         var_index = ctx.var_index
-        order = self.search_order()
         by_variable = self._constraints_by_variable()
         search_tables: Dict[int, _ColumnarSearchTable] = {
             id(state.constraint): _ColumnarSearchTable(state, n_codes)
@@ -910,6 +938,7 @@ class CSPInstance:
         assignment: Dict[Variable, Value] = {}
         assigned_codes: Dict[Variable, int] = {}
         produced = 0
+        jump = False
         Trail = List[Tuple[int, object]]
 
         def undo(trail: Trail) -> None:
@@ -1014,11 +1043,12 @@ class CSPInstance:
             return trail
 
         def backtrack(position: int) -> Iterator[Dict[Variable, Value]]:
-            nonlocal produced
+            nonlocal produced, jump
             if limit is not None and produced >= limit:
                 return
             if position == len(order):
                 produced += 1
+                jump = True
                 yield assignment
                 return
             variable = order[position]
@@ -1032,10 +1062,12 @@ class CSPInstance:
                 if trail is not None:
                     yield from backtrack(position + 1)
                     undo(trail)
-                    if limit is not None and produced >= limit:
-                        del assignment[variable]
-                        del assigned_codes[variable]
-                        return
+                    if jump:
+                        if position > cut or (limit is not None and produced >= limit):
+                            del assignment[variable]
+                            del assigned_codes[variable]
+                            return
+                        jump = False
                 del assignment[variable]
                 del assigned_codes[variable]
 
@@ -1052,30 +1084,64 @@ class CSPInstance:
 
     # ---------------------------------------------------------------- search
     def iter_solutions(self, limit: Optional[int] = None) -> Iterator[Dict[Variable, Value]]:
-        """Enumerate solutions by propagation + backtracking search.  Both
+        """Enumerate solutions by propagation + backtracking search.  All
         engines yield the same solutions in the same order."""
         for assignment in self._iter_assignments(limit):
             yield dict(assignment)
 
-    def _iter_assignments(self, limit: Optional[int]) -> Iterator[Dict[Variable, Value]]:
-        """Yield the internal (shared, mutable) assignment dict at every
-        solution; callers must copy if they keep it."""
-        if self._engine == "naive":
-            yield from self._iter_naive(limit)
-        elif self._engine == "columnar":
-            yield from self._iter_columnar(limit)
-        else:
-            yield from self._iter_indexed(limit)
+    def iter_projected(self, variables: Sequence[Variable]) -> Iterator[AssignmentTuple]:
+        """The projections of the solutions onto ``variables``, as tuples in
+        that order, one per witness of the projected search.
 
-    def _iter_naive(self, limit: Optional[int]) -> Iterator[Dict[Variable, Value]]:
+        The search runs in :meth:`projected_order`.  Once every projected
+        variable is assigned it takes the first complete extension as the
+        witness and backjumps to the deepest projected variable, so it visits
+        a subset of the full search tree.  Every distinct projection is
+        yielded at least once, and exactly once when the projected variables
+        are a prefix of the order; otherwise the quantified variables assigned
+        before the deepest projected one can repeat a projection, so callers
+        collect into a set.  All engines yield the same sequence.
+        """
+        order = self.projected_order(variables)
+        cut = _deepest(order, set(variables))
+        for assignment in self._iter_assignments(None, order, cut):
+            yield tuple(assignment[v] for v in variables)
+
+    def _iter_assignments(
+        self,
+        limit: Optional[int],
+        order: Optional[List[Variable]] = None,
+        cut: Optional[int] = None,
+    ) -> Iterator[Dict[Variable, Value]]:
+        """Yield the internal (shared, mutable) assignment dict at every
+        solution; callers must copy if they keep it.
+
+        ``order`` defaults to :meth:`search_order`.  After a solution the
+        search backjumps to position ``cut`` of the order (the default, the
+        last position, enumerates every solution; ``-1`` stops at the first).
+        """
+        if order is None:
+            order = self.search_order()
+        if cut is None:
+            cut = len(order) - 1
+        if self._engine == "naive":
+            yield from self._iter_naive(limit, order, cut)
+        elif self._engine == "columnar":
+            yield from self._iter_columnar(limit, order, cut)
+        else:
+            yield from self._iter_indexed(limit, order, cut)
+
+    def _iter_naive(
+        self, limit: Optional[int], order: List[Variable], cut: int
+    ) -> Iterator[Dict[Variable, Value]]:
         """The original search: re-sorts the current variable's domain at
         every node and checks consistency by scanning the tables."""
         domains = self.propagate()
         if domains is None:
             return
-        order = self.search_order()
         by_variable = self._constraints_by_variable()
         produced = 0
+        jump = False
 
         def consistent_check(constraint, assignment) -> bool:
             if isinstance(constraint, Constraint):
@@ -1083,11 +1149,12 @@ class CSPInstance:
             return constraint.consistent_with_partial(assignment)
 
         def backtrack(position: int, assignment: Dict[Variable, Value]) -> Iterator[Dict[Variable, Value]]:
-            nonlocal produced
+            nonlocal produced, jump
             if limit is not None and produced >= limit:
                 return
             if position == len(order):
                 produced += 1
+                jump = True
                 yield assignment
                 return
             variable = order[position]
@@ -1099,21 +1166,24 @@ class CSPInstance:
                 )
                 if consistent:
                     yield from backtrack(position + 1, assignment)
-                    if limit is not None and produced >= limit:
-                        del assignment[variable]
-                        return
+                    if jump:
+                        if position > cut or (limit is not None and produced >= limit):
+                            del assignment[variable]
+                            return
+                        jump = False
                 del assignment[variable]
 
         yield from backtrack(0, {})
 
-    def _iter_indexed(self, limit: Optional[int]) -> Iterator[Dict[Variable, Value]]:
+    def _iter_indexed(
+        self, limit: Optional[int], order: List[Variable], cut: int
+    ) -> Iterator[Dict[Variable, Value]]:
         """Index-driven search: canonical value orders computed once, and
         forward checking prunes neighbour domains through the tuple indexes
         (with an undo trail) before recursing."""
         domains = self.propagate()
         if domains is None:
             return
-        order = self.search_order()
         by_variable = self._constraints_by_variable()
         # Canonical per-variable value order, computed once (not per node).
         value_order: Dict[Variable, List[Value]] = {
@@ -1124,6 +1194,7 @@ class CSPInstance:
         }
         assignment: Dict[Variable, Value] = {}
         produced = 0
+        jump = False
         Trail = List[Tuple[Variable, Set[Value]]]
 
         def undo(trail: Trail) -> None:
@@ -1211,11 +1282,12 @@ class CSPInstance:
             return trail
 
         def backtrack(position: int) -> Iterator[Dict[Variable, Value]]:
-            nonlocal produced
+            nonlocal produced, jump
             if limit is not None and produced >= limit:
                 return
             if position == len(order):
                 produced += 1
+                jump = True
                 yield assignment
                 return
             variable = order[position]
@@ -1228,9 +1300,11 @@ class CSPInstance:
                 if trail is not None:
                     yield from backtrack(position + 1)
                     undo(trail)
-                    if limit is not None and produced >= limit:
-                        del assignment[variable]
-                        return
+                    if jump:
+                        if position > cut or (limit is not None and produced >= limit):
+                            del assignment[variable]
+                            return
+                        jump = False
                 del assignment[variable]
 
         yield from backtrack(0)
@@ -1254,6 +1328,12 @@ class CSPInstance:
 
 
 _EMPTY: FrozenSet[int] = frozenset()
+
+
+def _deepest(order: Sequence[Variable], variables: Set[Variable]) -> int:
+    """The last position of ``order`` holding one of ``variables`` (-1 for
+    none)."""
+    return max((i for i, v in enumerate(order) if v in variables), default=-1)
 
 
 def solve_csp(

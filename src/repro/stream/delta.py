@@ -30,9 +30,11 @@ differential tests:
 
 ``candidates`` (general case)
     With existential variables, projections collide, so the delta enumerates
-    **candidate answers** instead: project the pinned solutions on each side
-    onto the free variables, then confirm each candidate by a satisfiability
-    probe on the *other* side — a gained answer is a candidate of the new
+    **candidate answers** instead: the projected search
+    (:meth:`~repro.relational.csp.CSPInstance.iter_projected`) collects the
+    free-variable projections of the pinned solutions on each side — one
+    witness per projection, not every solution — then each candidate is
+    confirmed on the *other* side — a gained answer is a candidate of the new
     side that was not an answer of the old side, and vice versa for lost
     answers.  Candidates appearing on both sides cancel automatically (they
     are answers on both sides).
@@ -51,15 +53,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.exact import _solution_csp
 from repro.queries.query import ConjunctiveQuery
 from repro.relational.changelog import StructureDelta
-from repro.relational.csp import (
-    DEFAULT_ENGINE,
-    Constraint,
-    CSPInstance,
-    NotEqualConstraint,
-    NotInRelationConstraint,
-)
+from repro.relational.csp import DEFAULT_ENGINE, Constraint
 from repro.relational.structure import Structure
 
 Element = Hashable
@@ -102,63 +99,6 @@ def delta_applicable(query: ConjunctiveQuery, universe_changed: bool) -> bool:
 
 
 # --------------------------------------------------------------- CSP plumbing
-def _base_constraints(query: ConjunctiveQuery, database: Structure) -> List[object]:
-    """The constraints of ``Sol(phi, D)`` — the same construction as
-    :func:`repro.core.exact._solution_csp`, shared indexes included."""
-    constraints: List[object] = []
-    for atom in query.atoms:
-        constraints.append(
-            Constraint.trusted(atom.args, index=database.relation_index(atom.relation))
-        )
-    for atom in query.negated_atoms:
-        forbidden = (
-            database.relation(atom.relation)
-            if atom.relation in database.signature
-            else frozenset()
-        )
-        constraints.append(
-            NotInRelationConstraint(scope=atom.args, forbidden=frozenset(forbidden))
-        )
-    for disequality in query.disequalities:
-        constraints.append(NotEqualConstraint(disequality.left, disequality.right))
-    return constraints
-
-
-def _instance(
-    query: ConjunctiveQuery,
-    database: Structure,
-    engine: str,
-    extra_constraints: Sequence[object] = (),
-    restrict: Optional[Dict[str, Set[Element]]] = None,
-    search_order: Optional[Sequence[str]] = None,
-) -> Optional[CSPInstance]:
-    """A ``Sol(phi, D)`` instance with optional extra table constraints and
-    restricted (e.g. pinned singleton) variable domains; ``None`` when a
-    restriction has no value inside the universe (no solutions).
-
-    ``search_order`` lets one refresh share a single min-fill computation
-    across its many small pinned instances (the variable set never changes).
-    """
-    universe = database.canonical_universe()
-    universe_set = database.universe
-    domains: Dict[str, Set[Element]] = {}
-    for variable in query.variables:
-        if restrict is not None and variable in restrict:
-            values = {
-                value for value in restrict[variable] if value in universe_set
-            }
-            if not values:
-                return None
-            domains[variable] = values
-        else:
-            domains[variable] = set(universe)
-    constraints = _base_constraints(query, database)
-    constraints.extend(extra_constraints)
-    return CSPInstance(
-        domains, constraints, engine=engine, search_order=search_order
-    )
-
-
 def _pin_atom(scope: Sequence[str], fact: AnswerTuple) -> Optional[Dict[str, Element]]:
     """Map an atom's argument variables onto a fact's values; ``None`` when a
     repeated variable would need two different values."""
@@ -217,7 +157,7 @@ def _count_touching(
             extra = [
                 Constraint.trusted(scope, allowed=facts) for scope, facts in subset
             ]
-            instance = _instance(
+            instance = _solution_csp(
                 query, database, engine,
                 extra_constraints=extra, search_order=search_order,
             )
@@ -244,15 +184,13 @@ def _pinned_projections(
             pin = _pin_atom(scope, fact)
             if pin is None:
                 continue
-            instance = _instance(
+            instance = _solution_csp(
                 query, database, engine,
                 restrict={variable: {value} for variable, value in pin.items()},
                 search_order=search_order,
             )
-            if instance is None:
-                continue
-            for solution in instance._iter_assignments(None):
-                projections.add(tuple(solution[v] for v in free))
+            if instance is not None:
+                projections.update(instance.iter_projected(free))
     return projections
 
 
@@ -264,32 +202,32 @@ def _answers_among(
     search_order: Optional[Sequence[str]] = None,
 ) -> Set[AnswerTuple]:
     """The subset of ``candidates`` that are answers of ``phi`` over
-    ``database`` — one batched enumeration (free domains restricted to the
-    candidates' values plus a table constraint over the free tuple) instead
-    of a satisfiability probe per candidate, so the propagation set-up cost
-    is paid once per side, not once per candidate."""
+    ``database`` — one batched projected search (free domains restricted to
+    the candidates' values plus a table constraint over the free tuple)
+    instead of a satisfiability probe per candidate, so the propagation
+    set-up cost is paid once per side, not once per candidate."""
     if not candidates:
         return set()
     free = query.free_variables
     if not free:
         # Boolean query: the only possible candidate is the empty tuple.
-        instance = _instance(query, database, engine, search_order=search_order)
+        instance = _solution_csp(query, database, engine, search_order=search_order)
         return set(candidates) if instance.is_satisfiable() else set()
     restrict = {
         variable: {candidate[position] for candidate in candidates}
         for position, variable in enumerate(free)
     }
-    instance = _instance(
+    instance = _solution_csp(
         query, database, engine,
-        extra_constraints=(Constraint.trusted(free, allowed=frozenset(candidates)),),
         restrict=restrict,
+        extra_constraints=(Constraint.trusted(free, allowed=frozenset(candidates)),),
         search_order=search_order,
     )
     if instance is None:
         return set()
     found: Set[AnswerTuple] = set()
-    for solution in instance._iter_assignments(None):
-        found.add(tuple(solution[v] for v in free))
+    for answer in instance.iter_projected(free):
+        found.add(answer)
         if len(found) == len(candidates):
             break
     return found
@@ -305,7 +243,7 @@ def is_answer(
     a satisfiability probe with the free variables pinned (the CSP-engine
     analogue of :meth:`ConjunctiveQuery.is_answer`, usable on large
     databases)."""
-    instance = _instance(
+    instance = _solution_csp(
         query,
         database,
         engine,
@@ -363,8 +301,12 @@ def delta_count_exact(
         )
         strategy = "inclusion_exclusion" if use_ie else "candidates"
     # One min-fill computation serves every small pinned instance of this
-    # refresh — the variable set never changes.
-    order = _instance(query, new_database, engine).search_order()
+    # refresh — the variable set never changes.  It is the projected search's
+    # order (free variables first where that costs no fill); for
+    # quantifier-free queries that is the plain search order.
+    order = _solution_csp(query, new_database, engine).projected_order(
+        query.free_variables
+    )
 
     if strategy == "inclusion_exclusion":
         if not query.is_quantifier_free():

@@ -5,7 +5,10 @@ on every instance it has to produce exactly the same solutions — and in the
 same enumeration order — as the retained naive scan path, and the same counts
 as the independent ``count_answers_bruteforce`` reference.  These tests sweep
 seeded random workloads (CQs with disequalities and negations included) from
-:mod:`repro.workloads` across all three implementations.
+:mod:`repro.workloads` across all three implementations.  The projected
+search behind the exact answer counter is held to the same standard: the
+same answer sets as brute force and the same witness sequence on every
+engine.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.exact import (
+    _solution_csp,
     count_answers_exact,
     count_solutions_exact,
     enumerate_answers_exact,
 )
+from repro.queries import parse_query
 from repro.queries.builders import path_query, star_query
 from repro.relational import (
     Constraint,
@@ -25,6 +30,7 @@ from repro.relational import (
     count_homomorphisms,
     enumerate_homomorphisms,
 )
+from repro.relational.csp import ENGINES
 from repro.relational.structure import Structure
 from repro.workloads import (
     database_from_graph,
@@ -55,6 +61,24 @@ def _random_workloads():
     graph_db = database_from_graph(erdos_renyi_graph(7, 0.4, rng=3))
     workloads.append(("two-hop", path_query(2, free_endpoints_only=True), graph_db))
     workloads.append(("star3-dcq", star_query(3, with_disequalities=True), graph_db))
+    # Projected-search shapes: quantified variables trailing the free one,
+    # no free variable at all, a free variable constrained only by a
+    # disequality, and a negated atom over a second relation.
+    workloads.append(
+        ("trailing-path", parse_query("Ans(x) :- E(x, y), E(y, z), E(z, w)"), graph_db)
+    )
+    workloads.append(
+        ("boolean-triangle", parse_query("Ans() :- E(x, y), E(y, z), E(z, x)"), graph_db)
+    )
+    workloads.append(
+        ("free-in-diseq-only", parse_query("Ans(x, u) :- E(x, y), u != y"), graph_db)
+    )
+    negated_db = random_database(
+        universe_size=6, relations={"E": 2, "F": 2}, facts_per_relation=14, rng=7
+    )
+    workloads.append(
+        ("negated", parse_query("Ans(x) :- E(x, y), E(y, z), !F(x, z)"), negated_db)
+    )
     return workloads
 
 
@@ -75,9 +99,53 @@ def test_engines_agree_on_solution_counts_and_answer_sets(name, query, database)
     assert count_solutions_exact(query, database, engine="indexed") == count_solutions_exact(
         query, database, engine="naive"
     )
-    assert enumerate_answers_exact(query, database, engine="indexed") == enumerate_answers_exact(
-        query, database, engine="naive"
-    )
+    expected = query.answers(database)
+    for engine in ENGINES:
+        assert enumerate_answers_exact(query, database, engine=engine) == expected
+
+
+@pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
+def test_projected_search_is_identical_across_engines(name, query, database):
+    """Every engine yields the same witness sequence, and that sequence is
+    the full enumeration (in the projected order) thinned to the first
+    solution of every distinct prefix ending at the deepest free variable."""
+    free = query.free_variables
+    sequences = [
+        list(_solution_csp(query, database, engine=engine).iter_projected(free))
+        for engine in ENGINES
+    ]
+    assert sequences[0] == sequences[1] == sequences[2]
+
+    order = _solution_csp(query, database).projected_order(free)
+    cut = max((order.index(v) for v in free), default=-1)
+    expected, previous = [], None
+    for solution in _solution_csp(query, database, search_order=order).iter_solutions():
+        prefix = tuple(solution[v] for v in order[: cut + 1])
+        if prefix != previous:
+            expected.append(tuple(solution[v] for v in free))
+            previous = prefix
+    assert sequences[0] == expected
+
+
+def test_projected_search_yields_one_witness_per_answer():
+    """``Ans(x) :- E(x,y),E(y,z),E(z,w)``: the projection-aware order puts
+    ``x`` first (the plain min-fill order does not), so the search stops at
+    one witness per answer instead of enumerating every walk."""
+    query = parse_query("Ans(x) :- E(x, y), E(y, z), E(z, w)")
+    database = database_from_graph(erdos_renyi_graph(12, 0.3, rng=7))
+    answers = query.answers(database)
+    instance = _solution_csp(query, database)
+    assert instance.projected_order(query.free_variables)[0] == "x"
+    assert instance.search_order()[0] != "x"
+    for engine in ENGINES:
+        witnesses = list(
+            _solution_csp(query, database, engine=engine).iter_projected(
+                query.free_variables
+            )
+        )
+        assert len(witnesses) == len(answers)
+        assert set(witnesses) == answers
+    assert count_solutions_exact(query, database) > 10 * len(answers)
 
 
 def test_engines_enumerate_homomorphisms_in_identical_order():
