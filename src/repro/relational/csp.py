@@ -525,22 +525,11 @@ class CSPInstance:
         assigns projected variables first whenever that costs no extra fill;
         it does not force them first, since free variables linked only
         through a quantified one would then be enumerated as a cross product.
-
-        The tie-broken order is used when it assigns the projected variables
-        first, or else puts the deepest of them earlier than
-        :meth:`search_order` does.  Otherwise the backjump cuts no more of
-        the tree, and the reshuffle only costs: a star query with its leaves
-        free would assign a leaf before the centre and forward-check from the
-        centre once per edge instead of once per vertex.  A ``search_order``
-        given at construction is used as is."""
+        A ``search_order`` given at construction is used as is."""
         last = frozenset(projected)
         if self._order_hint is not None or not last or last >= self._domains.keys():
             return self.search_order()
-        aware = self._min_fill_order(last)
-        cut = _deepest(aware, last)
-        if cut == len(last) - 1 or cut < _deepest(self.search_order(), last):
-            return aware
-        return self.search_order()
+        return self._min_fill_order(last)
 
     def _min_fill_order(self, last: FrozenSet[Variable]) -> List[Variable]:
         from repro.decomposition.treewidth import _greedy_ordering  # local import
